@@ -414,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scratch-twin-every",
         type=int,
         default=0,
-        help="diff every N-th campaign against its full_rebuild=True twin",
+        help="diff every N-th campaign against its from-scratch reference twin",
     )
     p_fuzz.add_argument(
         "--crashes",

@@ -77,15 +77,8 @@ class Workbench:
             ),
         )
 
-    def make_pipeline(
-        self, use_site_mask: bool = True, telemetry=None, full_rebuild: bool = False
-    ) -> SnapTaskPipeline:
-        """A fresh SnapTask backend pipeline for this venue.
-
-        ``full_rebuild=True`` builds the from-scratch oracle variant
-        (every incremental subsystem recomputes per batch) — the twin
-        used by the differential suites and the DST harness.
-        """
+    def make_pipeline(self, use_site_mask: bool = True, telemetry=None) -> SnapTaskPipeline:
+        """A fresh SnapTask backend pipeline for this venue."""
         self._pipeline_counter += 1
         return SnapTaskPipeline(
             self.world,
@@ -94,7 +87,6 @@ class Workbench:
             self.venue.entrance,
             self.rng.stream(f"pipeline-{self._pipeline_counter}"),
             site_mask=self.ground_truth.region_mask if use_site_mask else None,
-            full_rebuild=full_rebuild,
             telemetry=telemetry,
         )
 

@@ -72,7 +72,6 @@ class MapUpdate:
     cameras_refreshed: int
     cameras_reused: int
     dirty_obstacle_cells: int
-    full_rebuild: bool
 
     @property
     def cameras_total(self) -> int:
@@ -99,9 +98,7 @@ class IncrementalMapEngine:
     One engine instance tracks one growing reconstruction on one grid
     spec. Feed it successive ``(model, filtered_cloud)`` states via
     :meth:`update`; it diffs each state against the previous one by
-    feature id / photo id and touches only the dirty region. Passing
-    ``full_rebuild=True`` discards all cached state first — the escape
-    hatch that forces from-scratch behaviour through the same code path.
+    feature id / photo id and touches only the dirty region.
     """
 
     def __init__(
@@ -139,7 +136,22 @@ class IncrementalMapEngine:
             if site_mask.shape != spec.shape:
                 raise MappingError("site mask shape does not match grid spec")
         self._site_mask = site_mask
-        self._reset()
+        self._octomap = OctoMap.for_spec(spec)
+        self._applied: Dict[int, Tuple[float, float, float]] = {}
+        self._obst = np.zeros(spec.shape, dtype=float)
+        self._obst_mask = np.zeros(spec.shape, dtype=bool)
+        self._vis = np.zeros(spec.shape, dtype=float)
+        self._covered = np.zeros(spec.shape, dtype=bool)
+        self._obst_flat = self._obst.ravel()
+        self._vis_flat = self._vis.ravel()
+        self._covered_flat = self._covered.ravel()
+        self._site_flat = (
+            self._site_mask.ravel() if self._site_mask is not None else None
+        )
+        self._covered_cells = 0
+        self._cameras: Dict[int, _CameraEntry] = {}
+        self._feature_cams: Dict[int, Set[int]] = {}
+        self._cov_dirty: Set[int] = set()
 
     def __deepcopy__(self, memo):
         """Deep copy preserving the flat/2-D grid aliasing.
@@ -196,7 +208,6 @@ class IncrementalMapEngine:
         self,
         model: SfmModel,
         cloud: Optional[PointCloud] = None,
-        full_rebuild: bool = False,
     ) -> MapUpdate:
         """Bring the maps up to date with ``model`` (+ filtered ``cloud``).
 
@@ -205,8 +216,6 @@ class IncrementalMapEngine:
         separately from ``model`` (whose own cloud is unfiltered). Omitted,
         ``model.cloud`` is used.
         """
-        if full_rebuild:
-            self._reset()
         if cloud is None:
             cloud = model.cloud
 
@@ -232,7 +241,6 @@ class IncrementalMapEngine:
             cameras_refreshed=refreshed,
             cameras_reused=reused,
             dirty_obstacle_cells=len(dirty_cols),
-            full_rebuild=full_rebuild,
         )
 
     # -- obstacles: delta insertion + dirty-column re-merge ----------------------
@@ -484,24 +492,3 @@ class IncrementalMapEngine:
         before = self._covered_flat[idx]
         self._covered_cells += int(covered.sum()) - int(before.sum())
         self._covered_flat[idx] = covered
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _reset(self) -> None:
-        spec = self._spec
-        self._octomap = OctoMap.for_spec(spec)
-        self._applied: Dict[int, Tuple[float, float, float]] = {}
-        self._obst = np.zeros(spec.shape, dtype=float)
-        self._obst_mask = np.zeros(spec.shape, dtype=bool)
-        self._vis = np.zeros(spec.shape, dtype=float)
-        self._covered = np.zeros(spec.shape, dtype=bool)
-        self._obst_flat = self._obst.ravel()
-        self._vis_flat = self._vis.ravel()
-        self._covered_flat = self._covered.ravel()
-        self._site_flat = (
-            self._site_mask.ravel() if self._site_mask is not None else None
-        )
-        self._covered_cells = 0
-        self._cameras: Dict[int, _CameraEntry] = {}
-        self._feature_cams: Dict[int, Set[int]] = {}
-        self._cov_dirty: Set[int] = set()

@@ -13,8 +13,11 @@ simulation, an entire crowd-mapping deployment is a pure function of
   exactness *while the simulation runs*;
 * :mod:`~repro.testkit.harness` — runs one scenario under the registry,
   with end-of-run determinism (seed twice -> byte-identical report and
-  metrics/trace digests), the ``full_rebuild`` scratch-twin diff, and
-  the crash-restart vs crash-free convergence twin;
+  metrics/trace digests), the scratch-twin diff, and the crash-restart
+  vs crash-free convergence twin;
+* :mod:`~repro.testkit.reference` — the from-scratch reference for
+  Algorithm 1 lines 1-5 that the scratch twin and the differential
+  suites diff the incremental engines against;
 * :mod:`~repro.testkit.shrink` — delta-debugs a failing scenario down
   to a minimal reproduction;
 * :mod:`~repro.testkit.artifact` — replayable failing-seed artifacts;

@@ -12,8 +12,9 @@ Failure classes:
   escaping the event loop is as much a bug as a broken invariant);
 * ``determinism`` — the same scenario run twice produced different
   reports or metrics/trace digests;
-* ``scratch-twin`` — the incremental deployment and its
-  ``full_rebuild=True`` twin diverged;
+* ``scratch-twin`` — the incremental deployment and its twin on the
+  from-scratch reference pipeline (:mod:`~repro.testkit.reference`)
+  diverged;
 * ``crash-twin`` — a crash-restart campaign converged to a different
   final coverage / task outcome than its crash-free same-seed twin
   (only checked when :attr:`Scenario.crash_twin_eligible`).
@@ -48,6 +49,7 @@ from .digests import (
 )
 from .invariants import InvariantRegistry, InvariantViolationError, Violation
 from .mutations import apply_mutation
+from .reference import reference_pipelines
 from .scenario import Scenario
 
 
@@ -80,17 +82,13 @@ class CampaignResult:
 
 
 def _run_once(
-    scenario: Scenario,
-    mutation: Optional[str],
-    full_rebuild: bool = False,
+    scenario: Scenario, mutation: Optional[str]
 ) -> Tuple[object, Telemetry, InvariantRegistry]:
     """One instrumented, invariant-checked deployment run."""
     telemetry = Telemetry.enable()
     registry = InvariantRegistry(checkpoint_every=scenario.checkpoint_every)
     with apply_mutation(mutation):
-        deployment = scenario.make_deployment(
-            telemetry=telemetry, full_rebuild=full_rebuild
-        )
+        deployment = scenario.make_deployment(telemetry=telemetry)
         registry.attach(deployment)
         try:
             report = deployment.run(
@@ -201,20 +199,21 @@ def _determinism_diff(
 def _scratch_twin_diff(
     scenario: Scenario, mutation: Optional[str], report
 ) -> Optional[str]:
-    """The full_rebuild oracle twin must reproduce the deployment exactly.
+    """The from-scratch reference twin must reproduce the deployment exactly.
 
     Only the :class:`DeploymentReport` is compared: the incremental and
-    from-scratch pipelines intentionally differ in their *internal*
+    reference pipelines intentionally differ in their *internal*
     telemetry (wavefront counters, cache histograms), but every
     externally observable output must match.
     """
     try:
-        twin, _telemetry, _registry = _run_once(scenario, mutation, full_rebuild=True)
+        with reference_pipelines():
+            twin, _telemetry, _registry = _run_once(scenario, mutation)
     except Exception as exc:  # noqa: BLE001
-        return f"full_rebuild twin raised {type(exc).__name__}: {exc}"
+        return f"scratch twin raised {type(exc).__name__}: {exc}"
     detail = diff_projections(report_projection(report), report_projection(twin))
     if detail is not None:
-        return f"full_rebuild twin diverged: {detail}"
+        return f"scratch twin diverged: {detail}"
     return None
 
 

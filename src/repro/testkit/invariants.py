@@ -30,8 +30,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.tasks import TaskStatus
-from ..mapping import calculate_obstacles_map, calculate_visibility_map
 from ..sfm.filters import sor_filter
+from .reference import scratch_coverage, scratch_maps
 
 
 class InvariantViolationError(AssertionError):
@@ -511,11 +511,11 @@ class InvariantRegistry:
         outcome = pipeline.history[-1]
         model = outcome.model  # carries the SOR-filtered cloud
         config = pipeline.config
-        obstacles = calculate_obstacles_map(
-            model.cloud, pipeline.spec, config.tasks.obstacle_threshold
-        )
-        visibility = calculate_visibility_map(
-            model, obstacles, config.sfm.visibility_range_m
+        obstacles, visibility = scratch_maps(
+            model,
+            pipeline.spec,
+            config.tasks.obstacle_threshold,
+            config.sfm.visibility_range_m,
         )
         if not np.array_equal(outcome.maps.obstacles.data, obstacles.data):
             bad = int(np.sum(outcome.maps.obstacles.data != obstacles.data))
@@ -533,10 +533,7 @@ class InvariantRegistry:
                 f"visibility map diverged from from-scratch rebuild in {bad} "
                 f"cells at iteration {outcome.iteration}",
             )
-        covered = obstacles.nonzero_mask() | visibility.nonzero_mask()
-        if pipeline.site_mask is not None:
-            covered = covered & pipeline.site_mask
-        expected = int(covered.sum())
+        expected = scratch_coverage(obstacles, visibility, pipeline.site_mask)
         if outcome.coverage_cells != expected:
             self._fail(
                 token,

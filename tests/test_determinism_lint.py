@@ -22,6 +22,11 @@ file a previous run left behind). ``open()`` and the ``pathlib``
 read/write/mutate methods are confined to the declared I/O edges —
 the CLI, the exporters, artifact files, the durability media
 (``persist/``) and telemetry dumps (``obs/``).
+
+A layering lint rides along: product code never imports
+``repro.testkit``. Only the CLI (which fronts ``repro fuzz``) and the
+testkit itself may, so the from-scratch reference cannot creep back
+into the product as an oracle branch.
 """
 
 from __future__ import annotations
@@ -164,6 +169,34 @@ def _module_findings(path: pathlib.Path, tree: ast.AST):
     return findings
 
 
+#: Modules outside ``testkit/`` allowed to import ``repro.testkit``.
+TESTKIT_IMPORTERS = {"cli.py"}
+
+
+def _testkit_imports(path: pathlib.Path, tree: ast.AST):
+    """Imports of ``repro.testkit`` (absolute or relative) from ``path``."""
+    rel = path.relative_to(SRC_ROOT).as_posix()
+    if rel in TESTKIT_IMPORTERS or rel.startswith("testkit/"):
+        return []
+    package = ["repro", *rel.split("/")[:-1]]
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                parts = package[: len(package) - node.level + 1]
+                module = ".".join(parts + ([node.module] if node.module else []))
+            else:
+                module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == "repro.testkit" or n.startswith("repro.testkit.") for n in names):
+            findings.append(f"{rel}:{node.lineno}: imports `repro.testkit`")
+    return findings
+
+
 def test_no_ambient_nondeterminism_in_src():
     assert SRC_ROOT.is_dir(), SRC_ROOT
     findings = []
@@ -175,6 +208,32 @@ def test_no_ambient_nondeterminism_in_src():
         "(route randomness through simkit.rng, clocks through obs.wallclock):\n"
         + "\n".join(findings)
     )
+
+
+def test_product_code_does_not_import_the_testkit():
+    findings = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        findings.extend(_testkit_imports(path, tree))
+    assert not findings, (
+        "product modules importing the test kit (only cli.py and testkit/ may):\n"
+        + "\n".join(findings)
+    )
+
+
+def test_layering_lint_catches_a_planted_testkit_import():
+    code = (
+        "from ..testkit.reference import ScratchSfm\n"
+        "from .. import testkit\n"
+        "import repro.testkit.harness\n"
+        "from repro.testkit import run_fuzz\n"
+        "from ..testkits import lookalike\n"
+    )
+    tree = ast.parse(code)
+    offences = _testkit_imports(SRC_ROOT / "core" / "pipeline.py", tree)
+    assert [line.split(":")[1] for line in offences] == ["1", "2", "3", "4"]
+    for rel in ("testkit/harness.py", "cli.py"):
+        assert not _testkit_imports(SRC_ROOT / rel, tree), rel
 
 
 def test_lint_catches_a_planted_offence():

@@ -9,6 +9,9 @@ layer of the testkit once:
 * a planted bug (mutation) being *caught* by the expected invariant,
   *shrunk* to a minimal scenario, written as a replayable artifact, and
   *reproduced* from that artifact;
+* the scratch twin: a sampled campaign matching its twin on the
+  from-scratch reference pipeline, and a divergence planted in the
+  reference being reported as ``scratch-twin``;
 * scenario serialisation round-tripping through JSON exactly;
 * the campaign-seed derivation staying stable across refactors (pinned
   values — artifacts in flight reference these seeds).
@@ -17,6 +20,7 @@ layer of the testkit once:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +33,8 @@ from repro.testkit import (
     run_fuzz,
     run_scenario,
 )
-from repro.testkit.fuzzer import campaign_seed
+from repro.testkit.fuzzer import campaign_seed, derive_scenario
+from repro.testkit.reference import ScratchMapEngine
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +96,33 @@ class TestMutationLoop:
         assert doc["failure"] == expected
         replayed = replay_artifact(doc, check_determinism=False)
         assert replayed.label == expected
+
+
+class TestScratchTwin:
+    @pytest.fixture(scope="class")
+    def twin_scenario(self):
+        _seed, scenario = derive_scenario(0, 0, scratch_twin_every=1)
+        assert scenario.scratch_twin
+        return scenario
+
+    def test_sampled_scenario_matches_its_reference_twin(self, twin_scenario):
+        result = run_scenario(twin_scenario, check_determinism=False)
+        assert result.ok, (result.label, result.determinism_detail)
+
+    def test_planted_reference_divergence_is_caught(
+        self, twin_scenario, monkeypatch
+    ):
+        original = ScratchMapEngine.update
+
+        def drop_one_cell(self, model, cloud=None):
+            update = original(self, model, cloud)
+            return replace(update, covered_cells=update.covered_cells - 1)
+
+        monkeypatch.setattr(ScratchMapEngine, "update", drop_one_cell)
+        result = run_scenario(twin_scenario, check_determinism=False)
+        assert not result.ok
+        assert result.failure_kind == "scratch-twin", result.label
+        assert "scratch twin" in result.determinism_detail
 
 
 class TestScenarioSerialisation:

@@ -7,12 +7,15 @@ the from-scratch functions — not "close enough". This suite enforces it:
 
 * the full fig10 guided campaign is replayed batch-by-batch and every
   obstacles / visibility grid and covered-cell count the pipeline emitted
-  is compared against an independent from-scratch rebuild;
+  is compared against an independent from-scratch rebuild
+  (``repro.testkit.reference.scratch_maps``);
 * targeted delta scenarios (camera re-observation, SOR point churn,
-  obstacle appearance inside cached wedges, glass-wall imprint recovery
-  via artificial features, annotation write-off) are driven through the
-  engine directly;
-* the ``full_rebuild`` escape hatch is proven to be behaviour-preserving.
+  point removal after growth, obstacle appearance inside cached wedges,
+  glass-wall imprint recovery via artificial features, annotation
+  write-off) are driven through the engine directly;
+* a pipeline on real photos is proven map-identical, batch for batch, to
+  the from-scratch reference pipeline
+  (``repro.testkit.reference.reference_pipeline``).
 """
 
 from __future__ import annotations
@@ -23,30 +26,19 @@ import pytest
 from repro.camera import GALAXY_S7, CameraPose
 from repro.core.tasks import TaskKind
 from repro.geometry import BoundingBox, Vec2
-from repro.mapping import (
-    GridSpec,
-    IncrementalMapEngine,
-    calculate_obstacles_map,
-    calculate_visibility_map,
-)
+from repro.mapping import GridSpec, IncrementalMapEngine
 from repro.core.pipeline import SnapTaskPipeline
 from repro.sfm import PointCloud, SfmModel
 from repro.sfm.model import RecoveredCamera
 from repro.sfm.pointcloud import CloudPoint
 from repro.simkit import RngStream
+from repro.testkit.reference import reference_pipeline, scratch_coverage, scratch_maps
 from repro.venue.features import ARTIFICIAL_FEATURE_BASE
 
 
 # --------------------------------------------------------------------------
 # Oracle helpers
 # --------------------------------------------------------------------------
-
-
-def scratch_maps(model, spec, threshold=4, max_range=5.0):
-    """Independent from-scratch rebuild (Algorithm 2 + Algorithm 3)."""
-    obstacles = calculate_obstacles_map(model.cloud, spec, threshold)
-    visibility = calculate_visibility_map(model, obstacles, max_range)
-    return obstacles, visibility
 
 
 def assert_cell_exact(update, model, spec, threshold=4, max_range=5.0, site_mask=None):
@@ -57,10 +49,7 @@ def assert_cell_exact(update, model, spec, threshold=4, max_range=5.0, site_mask
     np.testing.assert_array_equal(
         update.maps.visibility.data, visibility.data, err_msg="visibility diverged"
     )
-    covered = obstacles.nonzero_mask() | visibility.nonzero_mask()
-    if site_mask is not None:
-        covered = covered & site_mask
-    assert update.covered_cells == int(covered.sum())
+    assert update.covered_cells == scratch_coverage(obstacles, visibility, site_mask)
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +207,9 @@ class TestSyntheticDeltas:
         cam = make_camera(1, 3.0, 4.0, 0.0, [p.feature_id for p in wall])
         self.check_sequence(spec, [(wall, [cam])], site_mask=site)
 
-    def test_full_rebuild_escape_hatch_is_identical(self):
+    def test_growth_then_point_removal_stays_exact(self):
+        """A second wall and camera arrive, then part of the first wall
+        drops out of the cloud."""
         spec = small_spec()
         wall_a = wall_points(0, 6.0, 2.0, 6.0)
         wall_b = wall_points(10_000, 9.0, 2.0, 6.0)
@@ -229,20 +220,8 @@ class TestSyntheticDeltas:
             (wall_a + wall_b, [cam1, cam2]),
             (wall_a[5:] + wall_b, [cam1, cam2]),
         ]
-        incremental = IncrementalMapEngine(spec)
-        scratch = IncrementalMapEngine(spec)
-        for cloud, cameras in states:
-            model = SfmModel(PointCloud(cloud), cameras)
-            a = incremental.update(model)
-            b = scratch.update(model, full_rebuild=True)
-            assert b.full_rebuild and not a.full_rebuild
-            np.testing.assert_array_equal(
-                a.maps.obstacles.data, b.maps.obstacles.data
-            )
-            np.testing.assert_array_equal(
-                a.maps.visibility.data, b.maps.visibility.data
-            )
-            assert a.covered_cells == b.covered_cells
+        updates = self.check_sequence(spec, states)
+        assert updates[2].points_removed == 5
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +262,8 @@ class TestGuidedCampaignEquivalence:
                 visibility.data,
                 err_msg=f"visibility diverged at iteration {outcome.iteration}",
             )
-            covered = (obstacles.nonzero_mask() | visibility.nonzero_mask()) & site
-            assert outcome.coverage_cells == int(covered.sum()), (
+            covered = scratch_coverage(obstacles, visibility, site)
+            assert outcome.coverage_cells == covered, (
                 f"covered-cell count diverged at iteration {outcome.iteration}"
             )
 
@@ -370,26 +349,25 @@ class TestGuidedCampaignEquivalence:
 
 class TestPipelineEscapeHatch:
     def test_full_rebuild_pipeline_matches_incremental(self, bench):
-        """Two pipelines on identical RNG streams — one incremental, one
-        forced from-scratch — must emit identical maps batch for batch."""
+        """Two pipelines on identical RNG streams — the product one and the
+        from-scratch reference — must emit identical maps batch for batch."""
         photos = _deterministic_photos(bench)
         outcomes = {}
-        for label, full_rebuild in (("inc", False), ("scratch", True)):
-            pipeline = SnapTaskPipeline(
+        for label, build in (("inc", SnapTaskPipeline), ("scratch", reference_pipeline)):
+            pipeline = build(
                 bench.world,
                 bench.config,
                 bench.spec,
                 bench.venue.entrance,
                 RngStream(777, "escape-hatch"),
                 site_mask=bench.ground_truth.region_mask,
-                full_rebuild=full_rebuild,
             )
-            assert pipeline.full_rebuild is full_rebuild
             chunk = 20
             outcomes[label] = [
                 pipeline.process_batch(photos[i : i + chunk])
                 for i in range(0, len(photos), chunk)
             ]
+        assert len(outcomes["inc"]) > 1
         for a, b in zip(outcomes["inc"], outcomes["scratch"]):
             np.testing.assert_array_equal(
                 a.maps.obstacles.data, b.maps.obstacles.data
@@ -401,7 +379,7 @@ class TestPipelineEscapeHatch:
 
 
 def _deterministic_photos(bench):
-    """A fixed photo batch shared by both escape-hatch pipelines."""
+    """A fixed photo batch shared by both pipelines."""
     pipeline = SnapTaskPipeline(
         bench.world,
         bench.config,

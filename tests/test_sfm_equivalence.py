@@ -3,8 +3,8 @@
 The columnar engine (dense feature interning, registration wavefront,
 dirty-feature triangulation, O(delta) snapshots) and the incremental SOR
 filter replace per-batch O(model) scans in the pipeline. Their correctness
-contract is *bit-exactness* against the preserved from-scratch
-implementations — not "close enough". This suite enforces it:
+contract is *bit-exactness* against the from-scratch implementations in
+``repro.testkit.reference`` — not "close enough". This suite enforces it:
 
 * hypothesis drives random batch partitions of a real photo pool through
   both engine strategies and pins registration order, reports and cloud
@@ -17,8 +17,9 @@ implementations — not "close enough". This suite enforces it:
   grown clouds *and* on contract-violating inputs (moved/removed points);
 * vectorized `PointCloud.subset` / `merged_with` are pinned against a
   per-point reference implementation;
-* two full pipelines (incremental vs ``full_rebuild=True``) must emit
-  byte-identical filtered clouds, reports and coverage, batch for batch.
+* the product pipeline and ``reference_pipeline`` (every one of
+  Algorithm 1 lines 1-5 from scratch) must emit byte-identical filtered
+  clouds, reports, maps, coverage and tasks, batch for batch.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.sfm import (
 )
 from repro.sfm.pointcloud import CloudPoint
 from repro.simkit import RngStream
+from repro.testkit.reference import ScratchSfm, reference_pipeline
 from repro.venue.features import ARTIFICIAL_FEATURE_BASE
 
 
@@ -59,21 +61,15 @@ def photo_pool(bench):
     return photos
 
 
-def run_engine(bench, batches, full_rebuild):
-    engine = IncrementalSfm(
-        bench.world,
-        bench.config.sfm,
-        RngStream(4242, "sfm-equiv"),
-        full_rebuild=full_rebuild,
-    )
+def run_engine(bench, batches, engine_cls):
+    engine = engine_cls(bench.world, bench.config.sfm, RngStream(4242, "sfm-equiv"))
     reports = [engine.add_photos(batch) for batch in batches]
     return engine, reports
 
 
 def assert_engines_identical(bench, batches):
-    inc, inc_reports = run_engine(bench, batches, full_rebuild=False)
-    scr, scr_reports = run_engine(bench, batches, full_rebuild=True)
-    assert inc.full_rebuild is False and scr.full_rebuild is True
+    inc, inc_reports = run_engine(bench, batches, IncrementalSfm)
+    scr, scr_reports = run_engine(bench, batches, ScratchSfm)
     # Same photos registered, in the same order.
     assert inc.registration_log() == scr.registration_log()
     assert inc.registered_ids() == scr.registered_ids()
@@ -132,21 +128,16 @@ class TestWavefrontEquivalence:
         ]
         followup = sweep(bench, 3.4, 3.4)
 
-        def run(full_rebuild):
-            engine = IncrementalSfm(
-                bench.world,
-                bench.config.sfm,
-                RngStream(77, "late-oracle"),
-                full_rebuild=full_rebuild,
-            )
+        def run(engine_cls):
+            engine = engine_cls(bench.world, bench.config.sfm, RngStream(77, "late-oracle"))
             engine.add_photos(base)
             engine.add_photos(imprinted)  # observers register, no position yet
             engine.register_artificial_features([fid], [Vec3(3.4, 3.3, 1.1)])
             report = engine.add_photos(followup)
             return engine, report
 
-        inc, r_inc = run(False)
-        scr, r_scr = run(True)
+        inc, r_inc = run(IncrementalSfm)
+        scr, r_scr = run(ScratchSfm)
         assert r_inc == r_scr
         assert fid in set(int(f) for f in inc.model().cloud.feature_ids)
         np.testing.assert_array_equal(
@@ -179,14 +170,10 @@ class TestRigRegistrationCount:
             rig.append(photo.with_extra_observations(extra, uv, "rig"))
         return rig
 
-    @pytest.mark.parametrize("full_rebuild", [False, True])
-    def test_rig_registrations_all_counted(self, bench, full_rebuild):
-        engine = IncrementalSfm(
-            bench.world,
-            bench.config.sfm,
-            RngStream(11, "rig-count"),
-            full_rebuild=full_rebuild,
-        )
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_rig_registrations_all_counted(self, bench, scratch):
+        engine_cls = ScratchSfm if scratch else IncrementalSfm
+        engine = engine_cls(bench.world, bench.config.sfm, RngStream(11, "rig-count"))
         base = sweep(bench, 3, 3)
         engine.add_photos(base)
         rig = self._rig_batch(bench, engine, base)
@@ -203,8 +190,8 @@ class TestRigRegistrationCount:
 
 
 class TestBucketVectorization:
-    """The vectorized arctan2/truncation bucket formula must reproduce the
-    original scalar loop bit-for-bit on real photos."""
+    """The product's vectorized arctan2/truncation bucket formula must
+    reproduce the original scalar loop bit-for-bit on real photos."""
 
     def test_buckets_match_scalar_reference(self, bench, photo_pool):
         engine = IncrementalSfm(
@@ -212,7 +199,7 @@ class TestBucketVectorization:
         )
         n = bench.config.sfm.view_compat_buckets
         for photo in photo_pool[:25]:
-            vec = engine._buckets_for(photo)
+            vec = engine._photo_columns(photo)[1]
             cx = photo.true_pose.position.x
             cy = photo.true_pose.position.y
             for j, fid in enumerate(photo.feature_ids):
@@ -397,26 +384,26 @@ class TestPointCloudVectorized:
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: incremental vs full_rebuild, byte for byte
+# Full pipeline: product vs reference, byte for byte
 # ---------------------------------------------------------------------------
 
 
 class TestPipelineDifferential:
     def test_pipelines_bit_identical(self, bench):
-        """Algorithm 1 end-to-end: the columnar engine + incremental SOR
-        must leave no trace — clouds, reports, tasks and coverage match the
-        from-scratch pipeline on every batch."""
-        photos = self._photos(bench)
+        """Algorithm 1 end-to-end: the columnar engine, incremental SOR and
+        incremental map engine must leave no trace — clouds, reports, maps,
+        coverage and tasks match the from-scratch reference pipeline on
+        every batch."""
+        photos = self._photos(bench, RngStream(1235, "sfm-pipe-photos"))
         outcomes = {}
-        for label, full_rebuild in (("inc", False), ("scratch", True)):
-            pipeline = SnapTaskPipeline(
+        for label, build in (("inc", SnapTaskPipeline), ("scratch", reference_pipeline)):
+            pipeline = build(
                 bench.world,
                 bench.config,
                 bench.spec,
                 bench.venue.entrance,
                 RngStream(1234, "sfm-pipe-equiv"),
                 site_mask=bench.ground_truth.region_mask,
-                full_rebuild=full_rebuild,
             )
             chunk = 25
             outcomes[label] = [
@@ -438,17 +425,23 @@ class TestPipelineDifferential:
             assert [c.photo_id for c in a.model.cameras] == [
                 c.photo_id for c in b.model.cameras
             ]
+            np.testing.assert_array_equal(a.maps.obstacles.data, b.maps.obstacles.data)
+            np.testing.assert_array_equal(
+                a.maps.visibility.data, b.maps.visibility.data
+            )
             assert a.coverage_cells == b.coverage_cells
             assert len(a.new_tasks) == len(b.new_tasks)
+            assert a.new_tasks == b.new_tasks
+            assert a.unvisited_areas == b.unvisited_areas
 
     @staticmethod
-    def _photos(bench):
+    def _photos(bench, rng):
         pipeline = SnapTaskPipeline(
             bench.world,
             bench.config,
             bench.spec,
             bench.venue.entrance,
-            RngStream(1235, "sfm-pipe-photos"),
+            rng,
             site_mask=bench.ground_truth.region_mask,
         )
         campaign = bench.make_guided_campaign(pipeline, 2)
