@@ -5,10 +5,15 @@ they run once per session and are shared by every figure/table bench.
 Each bench writes the rows it regenerates to ``benchmarks/results/`` so
 the paper-vs-measured comparison in EXPERIMENTS.md can be refreshed from
 the files.
+
+Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shortens the benches
+that support it; their artefacts then go to a temporary directory, so a
+smoke run never overwrites the committed full-run documents.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -22,9 +27,13 @@ from repro.eval import (
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+
 
 @pytest.fixture(scope="session")
-def results_dir():
+def results_dir(tmp_path_factory):
+    if SMOKE:
+        return tmp_path_factory.mktemp("results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

@@ -20,24 +20,21 @@ no ``None``). Results land in ``overload_backend.txt`` (human-readable)
 and ``BENCH_backend.json`` (``repro.bench.backend/v1``, CI-validated).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): a shorter horizon,
-same sweep, same artefacts.
+same sweep, same artefacts (in a temporary directory).
 """
 
 import copy
-import os
 
 from repro.config import paper_config
 from repro.eval import Workbench
-from repro.obs.bench import write_bench_backend
+from repro.obs import bench as bench_doc
 from repro.obs.wallclock import wall_now_s
 from repro.persist.fastcopy import fast_deepcopy
 from repro.persist.snapshot import structural_size
 from repro.server import Deployment
 
-from .conftest import write_result
+from .conftest import SMOKE, write_result
 from .sweep import run_deployment_sweep
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 SIM_HORIZON_S = 1_500.0 if SMOKE else 4_000.0
 N_CLIENTS = 4
@@ -161,16 +158,19 @@ def test_bench_backend_overload_sweep(benchmark, results_dir):
         "checkpoint_fastcopy_ms": round(fastcopy_s * 1e3, 3),
         "checkpoint_copy_speedup": round(copy_speedup, 3),
     }
-    write_bench_backend(
+    bench_doc.write(
         results_dir / "BENCH_backend.json",
-        rows,
-        summary,
-        campaign={
-            "n_clients": N_CLIENTS,
-            "max_tasks": MAX_TASKS,
-            "horizon_s": SIM_HORIZON_S,
-            "smoke": SMOKE,
-        },
+        bench_doc.bench_document(
+            "backend",
+            rows,
+            summary,
+            campaign={
+                "n_clients": N_CLIENTS,
+                "max_tasks": MAX_TASKS,
+                "horizon_s": SIM_HORIZON_S,
+                "smoke": SMOKE,
+            },
+        ),
     )
 
     # The infinite-server model never queues, waits, or sheds.

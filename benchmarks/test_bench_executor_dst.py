@@ -5,7 +5,7 @@ Runs the same fuzz batch twice — ``jobs=1`` (the serial loop) and
 per-worker busy time, and the byte-equality of the two summaries in
 ``BENCH_dst.json`` (``repro.bench.dst/v1``, CI-validated).
 
-Two speedups are recorded (see ``bench_dst_document``):
+Two speedups are recorded:
 
 * ``wall_speedup`` — measured serial/parallel wall ratio, which is only
   meaningful when the generating host actually has >= ``jobs`` cores
@@ -18,20 +18,18 @@ Two speedups are recorded (see ``bench_dst_document``):
   coincide; on a 1-core container only the second is attainable.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): fewer campaigns and
-2 workers, same artefacts, no speedup floor.
+2 workers, same artefacts (in a temporary directory), no speedup floor.
 """
 
 import json
 import os
 
-from repro.obs.bench import write_bench_dst
+from repro.obs import bench as bench_doc
 from repro.obs.wallclock import wall_now_s
 from repro.testkit.executor import ExecutorStats
 from repro.testkit.fuzzer import run_fuzz
 
-from .conftest import write_result
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+from .conftest import SMOKE, write_result
 
 CAMPAIGNS = 6 if SMOKE else 40
 JOBS = 2 if SMOKE else 4
@@ -147,15 +145,18 @@ def test_bench_executor_dst(benchmark, results_dir):
         "target_speedup": TARGET_SPEEDUP,
         "byte_identical": byte_identical,
     }
-    write_bench_dst(
+    bench_doc.write(
         results_dir / "BENCH_dst.json",
-        runs,
-        summary,
-        campaign={
-            "master_seed": MASTER_SEED,
-            "check_determinism": False,
-            "smoke": SMOKE,
-        },
+        bench_doc.bench_document(
+            "dst",
+            runs,
+            summary,
+            campaign={
+                "master_seed": MASTER_SEED,
+                "check_determinism": False,
+                "smoke": SMOKE,
+            },
+        ),
     )
 
     # Determinism is unconditional; speedup floors depend on the regime.

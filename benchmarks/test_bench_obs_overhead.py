@@ -21,7 +21,7 @@ import time
 from repro.config import paper_config
 from repro.eval import Workbench
 from repro.obs import Telemetry
-from repro.obs.bench import write_bench_pipeline
+from repro.obs import bench as bench_doc
 from repro.server import Deployment
 
 from .conftest import write_result
@@ -81,21 +81,23 @@ def test_bench_obs_overhead(results_dir):
     ]
     write_result(results_dir, "perf_obs_overhead", "\n".join(rows))
 
-    write_bench_pipeline(
+    bench_doc.write(
         results_dir / "BENCH_pipeline.json",
-        telemetry.metrics,
-        campaign={
-            "command": "bench:obs-overhead",
-            "clients": N_CLIENTS,
-            "until_s": UNTIL_S,
-            "sim_time_s": report_on.sim_time_s,
-            "events_processed": report_on.events_processed,
-            "tasks_completed": report_on.tasks_completed,
-            "venue_covered": report_on.venue_covered,
-            "wall_s_telemetry_on": round(on_s, 4),
-            "wall_s_telemetry_off": round(off_s, 4),
-            "overhead_pct": round(overhead_pct, 2),
-        },
+        bench_doc.pipeline_document(
+            telemetry.metrics,
+            campaign={
+                "command": "bench:obs-overhead",
+                "clients": N_CLIENTS,
+                "until_s": UNTIL_S,
+                "sim_time_s": report_on.sim_time_s,
+                "events_processed": report_on.events_processed,
+                "tasks_completed": report_on.tasks_completed,
+                "venue_covered": report_on.venue_covered,
+                "wall_s_telemetry_on": round(on_s, 4),
+                "wall_s_telemetry_off": round(off_s, 4),
+                "overhead_pct": round(overhead_pct, 2),
+            },
+        ),
     )
 
     assert spans > 0

@@ -26,21 +26,18 @@ timing is too noisy for a speedup floor.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.eval import Workbench
-from repro.obs.bench import assert_valid_bench_sfm, bench_sfm_document, write_bench_sfm
+from repro.obs import bench as bench_doc
 from repro.sfm import IncrementalSfm, IncrementalSorFilter
 from repro.simkit import RngStream
 from repro.testkit.reference import ScratchSfm, ScratchSorFilter
 
-from .conftest import write_result
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+from .conftest import SMOKE, write_result
 
 #: Late-campaign window (ISSUE acceptance: batch >= 40 on the full run).
 LATE_FROM_BATCH = 4 if SMOKE else 40
@@ -163,7 +160,8 @@ def test_perf_columnar_vs_scratch(recorded_events, results_dir):
     }
 
     # The document must satisfy the in-repo schema in both modes.
-    assert_valid_bench_sfm(bench_sfm_document(batches, summary, campaign))
+    doc = bench_doc.bench_document("sfm", batches, summary, campaign)
+    bench_doc.assert_valid(doc)
 
     if SMOKE:
         return  # equivalence + schema only; no artefacts, no timing floor
@@ -191,9 +189,7 @@ def test_perf_columnar_vs_scratch(recorded_events, results_dir):
         f"({total_scratch / max(total_columnar, 1e-9):.1f}x)"
     )
     write_result(results_dir, "perf_sfm_core", "\n".join(rows))
-    write_bench_sfm(
-        results_dir / "BENCH_sfm.json", batches, summary, campaign
-    )
+    bench_doc.write(results_dir / "BENCH_sfm.json", doc)
 
     # Acceptance criterion (ISSUE): >= 3x on the late-campaign window,
     # where the asymptotic O(model)-vs-O(delta) gap dominates.

@@ -14,20 +14,16 @@ fewer generations cost at recovery time" number for tuning
 ``--snapshot-retain``.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): a smaller venue with
-a shallower ladder, same artefacts, no floor assertions beyond digest
-equality.
+a shallower ladder, same artefacts (in a temporary directory), no floor
+assertions beyond digest equality.
 """
 
-import os
-
-from repro.obs.bench import write_bench_recovery
+from repro.obs import bench as bench_doc
 from repro.obs.wallclock import wall_now_s
 from repro.persist import RecoveryManager, Snapshotter
 from repro.testkit import Scenario
 
-from .conftest import write_result
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
+from .conftest import SMOKE, write_result
 
 #: A two-client campaign over a venue large enough for a deep ladder
 #: (~14 generations, ~300 WAL records at full size).
@@ -131,17 +127,20 @@ def test_bench_recovery(benchmark, results_dir):
         "wall_amplification": round(wall_amp, 3),
         "digest_identical": digest_identical,
     }
-    write_bench_recovery(
+    bench_doc.write(
         results_dir / "BENCH_recovery.json",
-        rows,
-        summary,
-        campaign={
-            "seed": SCENARIO.seed,
-            "n_clients": SCENARIO.n_clients,
-            "venue_width_m": SCENARIO.venue_width_m,
-            "venue_depth_m": SCENARIO.venue_depth_m,
-            "smoke": SMOKE,
-        },
+        bench_doc.bench_document(
+            "recovery",
+            rows,
+            summary,
+            campaign={
+                "seed": SCENARIO.seed,
+                "n_clients": SCENARIO.n_clients,
+                "venue_width_m": SCENARIO.venue_width_m,
+                "venue_depth_m": SCENARIO.venue_depth_m,
+                "smoke": SMOKE,
+            },
+        ),
     )
 
     # The ladder's whole contract: deeper rungs replay more, recover the

@@ -108,7 +108,7 @@ def cmd_deploy(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import Telemetry
-    from .obs.bench import write_bench_pipeline
+    from .obs import bench as bench_doc
     from .obs.export import write_chrome_trace, write_metrics_json
     from .server import Deployment
 
@@ -122,19 +122,21 @@ def cmd_trace(args: argparse.Namespace) -> int:
         telemetry.tracer, out / "trace.json", metrics=telemetry.metrics
     )
     metrics_path = write_metrics_json(telemetry.metrics, out / "metrics.json")
-    bench_path = write_bench_pipeline(
+    bench_path = bench_doc.write(
         out / "BENCH_pipeline.json",
-        telemetry.metrics,
-        campaign={
-            "command": "trace",
-            "seed": args.seed,
-            "clients": args.clients,
-            "until_s": args.until,
-            "sim_time_s": report.sim_time_s,
-            "events_processed": report.events_processed,
-            "tasks_completed": report.tasks_completed,
-            "venue_covered": report.venue_covered,
-        },
+        bench_doc.pipeline_document(
+            telemetry.metrics,
+            campaign={
+                "command": "trace",
+                "seed": args.seed,
+                "clients": args.clients,
+                "until_s": args.until,
+                "sim_time_s": report.sim_time_s,
+                "events_processed": report.events_processed,
+                "tasks_completed": report.tasks_completed,
+                "venue_covered": report.venue_covered,
+            },
+        ),
     )
     tracer = telemetry.tracer
     print(f"simulated {report.sim_time_s:.0f} s, {report.events_processed} events, "

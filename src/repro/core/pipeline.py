@@ -99,8 +99,9 @@ class SnapTaskPipeline:
         obs = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tracer = obs.tracer
         metrics = obs.metrics
-        # Wall-time phase histograms (seconds); BENCH_pipeline.json is
-        # derived from exactly these names (repro.obs.bench.PHASE_PREFIX).
+        # Wall-time phase histograms (seconds); repro.obs.bench.
+        # pipeline_document derives BENCH_pipeline.json's phase rows from
+        # exactly these names (prefix repro.obs.bench.PHASE_PREFIX).
         self._obs_on = bool(self._tracer.enabled or metrics.enabled)
         self._h_phase = {
             name: metrics.histogram(f"repro.pipeline.phase.{name}")

@@ -1,40 +1,227 @@
-"""``BENCH_pipeline.json``: machine-readable per-phase pipeline timings.
+"""``BENCH_*.json``: machine-readable benchmark documents, one schema table.
 
-The benchmark harness historically wrote human-readable ``.txt`` rows to
-``benchmarks/results/``; this writer adds the machine-readable artefact
-the perf trajectory accumulates over: one JSON document per run with the
-Algorithm-1 phase timings (registration, map merge, unvisited flood-fill,
-task generation) pulled from the ``repro.pipeline.phase.*`` histograms,
-campaign-level facts, and the full metrics snapshot.
+Every committed benchmark document shares one envelope::
 
-The schema is validated in-repo (:func:`validate_bench_pipeline`) — no
-jsonschema dependency — and enforced by CI on every generated document.
+    {schema, generated_at, campaign, <rows>, <summary>}
+
+and differs only in what its rows and summary hold. :data:`SCHEMAS`
+states that per document kind; :func:`validate` dispatches on the
+document's own ``schema`` field, so one validator (and one CI step)
+covers every kind, in-repo, with no jsonschema dependency. What the
+fields of a kind mean is documented by the benchmark that writes it.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ObservabilityError
+from .export import PathLike
 from .wallclock import utc_now_iso
 
-PathLike = Union[str, pathlib.Path]
-
-BENCH_PIPELINE_SCHEMA = "repro.bench.pipeline/v1"
-
-#: Histogram-name prefix the phase table is derived from.
+#: Histogram-name prefix the pipeline phase table is derived from.
 PHASE_PREFIX = "repro.pipeline.phase."
 
+#: ``(label, row)`` pairs handed to a schema's rule function.
+_Rows = List[Tuple[str, dict]]
 
-def _phase_rows(registry) -> Dict[str, dict]:
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check(label: str, obj: dict, numeric, bools, mins) -> List[str]:
+    """Type and lower-bound problems of one row or summary object."""
+    problems = []
+    for name in numeric:
+        if not _numeric(obj.get(name)):
+            problems.append(f"{label} field {name!r} not numeric")
+    for name in bools:
+        if not isinstance(obj.get(name), bool):
+            problems.append(f"{label} field {name!r} not a bool")
+    for name, bound in mins.items():
+        if _numeric(obj.get(name)) and obj[name] < bound:
+            problems.append(f"{label} field {name!r} below {bound}")
+    return problems
+
+
+def _pipeline_rules(rows: _Rows, metrics: dict) -> Iterable[str]:
+    for name, snap in metrics.items():
+        if not isinstance(snap, dict) or snap.get("type") not in (
+            "counter", "gauge", "histogram",
+        ):
+            yield f"metric {name!r} has no valid type"
+
+
+def _dst_rules(rows: _Rows, summary: dict) -> Iterable[str]:
+    for label, row in rows:
+        if row.get("mode") not in ("serial", "parallel"):
+            yield f"{label} mode must be 'serial' or 'parallel'"
+    speedup = summary.get("wall_speedup")
+    if _numeric(speedup) and speedup <= 0:
+        yield "summary wall_speedup must be positive"
+
+
+def _recovery_rules(rows: _Rows, summary: dict) -> Iterable[str]:
+    for label, row in rows:
+        depth, tried = row.get("depth"), row.get("generations_tried")
+        if _numeric(depth) and _numeric(tried) and tried != depth + 1:
+            yield f"{label} generations_tried != depth + 1"
+
+
+@dataclass(frozen=True)
+class _Schema:
+    """What one document kind holds beyond the shared envelope."""
+
+    #: Key of the row collection: a non-empty list of row objects, or —
+    #: when ``keyed`` — an object of named rows that may be empty.
+    rows: str
+    row_fields: Tuple[str, ...]
+    summary_fields: Tuple[str, ...] = ()
+    summary_bools: Tuple[str, ...] = ()
+    #: Inclusive lower bounds on numeric row / summary fields.
+    row_min: Dict[str, float] = field(default_factory=dict)
+    summary_min: Dict[str, float] = field(default_factory=dict)
+    #: The remaining checks, beyond type and bound; yields problems.
+    rules: Optional[Callable[[_Rows, dict], Iterable[str]]] = None
+    keyed: bool = False
+    summary: str = "summary"
+
+
+#: Every bench document kind, keyed by its ``schema`` string.
+SCHEMAS: Dict[str, _Schema] = {
+    # The summary of a pipeline document is the full metrics snapshot.
+    "repro.bench.pipeline/v1": _Schema(
+        rows="phases",
+        row_fields=("count", "total_s", "mean_s", "p50_s", "max_s"),
+        row_min={"count": 0},
+        rules=_pipeline_rules,
+        keyed=True,
+        summary="metrics",
+    ),
+    "repro.bench.sfm/v1": _Schema(
+        rows="batches",
+        row_fields=(
+            "batch",
+            "points",
+            "cameras",
+            "pending",
+            "scratch_ms",
+            "incremental_ms",
+            "speedup",
+        ),
+        summary_fields=(
+            "late_from_batch",
+            "late_batches",
+            "late_scratch_ms",
+            "late_incremental_ms",
+            "late_speedup",
+            "target_speedup",
+        ),
+    ),
+    "repro.bench.backend/v1": _Schema(
+        rows="rows",
+        row_fields=(
+            "workers",
+            "queue_limit",
+            "sim_time_s",
+            "tasks_completed",
+            "photos_uploaded",
+            "batches_shed",
+            "client_backpressure",
+            "queue_wait_s",
+            "peak_queue_depth",
+            "service_time_s",
+        ),
+        summary_fields=(
+            "rows",
+            "baseline_tasks_completed",
+            "max_queue_wait_s",
+            "total_shed",
+        ),
+        row_min={"workers": 0, "queue_limit": -1},
+    ),
+    "repro.bench.dst/v1": _Schema(
+        rows="runs",
+        row_fields=(
+            "jobs",
+            "wall_s",
+            "campaigns",
+            "passed",
+            "failed",
+            "checks_run",
+        ),
+        summary_fields=(
+            "campaigns",
+            "jobs",
+            "cpu_count",
+            "serial_wall_s",
+            "parallel_wall_s",
+            "wall_speedup",
+            "total_busy_s",
+            "critical_path_s",
+            "critical_path_speedup",
+            "target_speedup",
+        ),
+        summary_bools=("byte_identical",),
+        rules=_dst_rules,
+    ),
+    "repro.bench.recovery/v1": _Schema(
+        rows="rows",
+        row_fields=(
+            "depth",
+            "snapshot_seq",
+            "generations_tried",
+            "quarantined",
+            "quarantined_bytes",
+            "replayed_records",
+            "wall_s",
+        ),
+        summary_fields=(
+            "generations",
+            "wal_records",
+            "newest_replayed_records",
+            "genesis_replayed_records",
+            "newest_wall_s",
+            "genesis_wall_s",
+            "replay_amplification",
+            "wall_amplification",
+        ),
+        summary_bools=("digest_identical",),
+        row_min={"depth": 0},
+        summary_min={"replay_amplification": 1.0},
+        rules=_recovery_rules,
+    ),
+}
+
+
+def bench_document(
+    kind: str,
+    rows: Union[List[dict], Dict[str, dict]],
+    summary: dict,
+    campaign: Optional[dict] = None,
+) -> dict:
+    """Build the ``repro.bench.<kind>/v1`` document (see :data:`SCHEMAS`)."""
+    schema = f"repro.bench.{kind}/v1"
+    spec = SCHEMAS[schema]
+    return {
+        "schema": schema,
+        "generated_at": utc_now_iso(),
+        "campaign": dict(campaign or {}),
+        spec.rows: rows,
+        spec.summary: summary,
+    }
+
+
+def pipeline_document(registry, campaign: Optional[dict] = None) -> dict:
+    """Build the ``BENCH_pipeline.json`` document from a live registry."""
     phases: Dict[str, dict] = {}
     for name in registry.names():
-        if not name.startswith(PHASE_PREFIX):
-            continue
         hist = registry.get(name)
-        if hist is None or not hasattr(hist, "quantile"):
+        if not name.startswith(PHASE_PREFIX) or not hasattr(hist, "quantile"):
             continue
         phases[name[len(PHASE_PREFIX):]] = {
             "count": hist.count,
@@ -43,552 +230,68 @@ def _phase_rows(registry) -> Dict[str, dict]:
             "p50_s": round(hist.quantile(0.5), 9),
             "max_s": round(hist.max if hist.max is not None else 0.0, 9),
         }
-    return phases
+    return bench_document("pipeline", phases, registry.snapshot(), campaign)
 
 
-def bench_pipeline_document(registry, campaign: Optional[dict] = None) -> dict:
-    """Build the ``BENCH_pipeline.json`` document from a live registry."""
-    return {
-        "schema": BENCH_PIPELINE_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "phases": _phase_rows(registry),
-        "metrics": registry.snapshot(),
-    }
-
-
-def write_bench_pipeline(
-    path: PathLike, registry, campaign: Optional[dict] = None
-) -> pathlib.Path:
-    doc = bench_pipeline_document(registry, campaign)
-    assert_valid_bench_pipeline(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-_PHASE_FIELDS = ("count", "total_s", "mean_s", "p50_s", "max_s")
-
-
-def validate_bench_pipeline(doc) -> List[str]:
+def validate(doc) -> List[str]:
     """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not an object"]
-    if doc.get("schema") != BENCH_PIPELINE_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_PIPELINE_SCHEMA!r}"
-        )
+    name = doc.get("schema")
+    spec = SCHEMAS.get(name) if isinstance(name, str) else None
+    if spec is None:
+        return [f"schema is {name!r}, expected one of {sorted(SCHEMAS)}"]
+    problems: List[str] = []
     if not isinstance(doc.get("generated_at"), str):
         problems.append("generated_at missing or not a string")
     if not isinstance(doc.get("campaign"), dict):
         problems.append("campaign missing or not an object")
-    phases = doc.get("phases")
-    if not isinstance(phases, dict):
-        problems.append("phases missing or not an object")
+    raw = doc.get(spec.rows)
+    if spec.keyed and isinstance(raw, dict):
+        labelled = [(f"{spec.rows}[{key!r}]", row) for key, row in raw.items()]
+    elif not spec.keyed and isinstance(raw, list) and raw:
+        labelled = [(f"{spec.rows}[{i}]", row) for i, row in enumerate(raw)]
     else:
-        for phase, row in phases.items():
-            if not isinstance(row, dict):
-                problems.append(f"phase {phase!r} is not an object")
-                continue
-            for field in _PHASE_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"phase {phase!r} field {field!r} not numeric")
-            count = row.get("count")
-            if isinstance(count, (int, float)) and count < 0:
-                problems.append(f"phase {phase!r} has negative count")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, dict):
-        problems.append("metrics missing or not an object")
+        shape = "an object" if spec.keyed else "a non-empty list"
+        problems.append(f"{spec.rows} missing or not {shape}")
+        labelled = []
+    rows: _Rows = []
+    for label, row in labelled:
+        if not isinstance(row, dict):
+            problems.append(f"{label} is not an object")
+            continue
+        rows.append((label, row))
+        problems.extend(_check(label, row, spec.row_fields, (), spec.row_min))
+    summary = doc.get(spec.summary)
+    if not isinstance(summary, dict):
+        problems.append(f"{spec.summary} missing or not an object")
+        summary = {}
     else:
-        for name, snap in metrics.items():
-            if not isinstance(snap, dict) or snap.get("type") not in (
-                "counter", "gauge", "histogram",
-            ):
-                problems.append(f"metric {name!r} has no valid type")
+        problems.extend(_check("summary", summary, spec.summary_fields,
+                               spec.summary_bools, spec.summary_min))
+    if spec.rules is not None:
+        problems.extend(spec.rules(rows, summary))
     return problems
 
 
-def assert_valid_bench_pipeline(doc) -> None:
-    problems = validate_bench_pipeline(doc)
+def assert_valid(doc) -> None:
+    problems = validate(doc)
     if problems:
         raise ObservabilityError(
-            "invalid BENCH_pipeline document: " + "; ".join(problems[:10])
+            "invalid bench document: " + "; ".join(problems[:10])
         )
+
+
+def write(path: PathLike, doc: dict) -> pathlib.Path:
+    """Validate ``doc`` and write it to ``path`` as indented JSON."""
+    assert_valid(doc)
+    path = pathlib.Path(path)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
 
 
 def load_and_validate(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate, return the document."""
+    """CI helper: load ``path``, validate by its own schema, return it."""
     doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_pipeline(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_sfm.json — scratch-vs-incremental SfM registration-phase timings
-# ---------------------------------------------------------------------------
-
-BENCH_SFM_SCHEMA = "repro.bench.sfm/v1"
-
-_SFM_BATCH_FIELDS = (
-    "batch",
-    "points",
-    "cameras",
-    "pending",
-    "scratch_ms",
-    "incremental_ms",
-    "speedup",
-)
-
-_SFM_SUMMARY_FIELDS = (
-    "late_from_batch",
-    "late_batches",
-    "late_scratch_ms",
-    "late_incremental_ms",
-    "late_speedup",
-    "target_speedup",
-)
-
-
-def bench_sfm_document(
-    batches: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_sfm.json`` document (see ``validate_bench_sfm``)."""
-    return {
-        "schema": BENCH_SFM_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "batches": [dict(row) for row in batches],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_sfm(
-    path: PathLike,
-    batches: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_sfm_document(batches, summary, campaign)
-    assert_valid_bench_sfm(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_sfm(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_SFM_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_SFM_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    batches = doc.get("batches")
-    if not isinstance(batches, list) or not batches:
-        problems.append("batches missing, not a list, or empty")
-    else:
-        for i, row in enumerate(batches):
-            if not isinstance(row, dict):
-                problems.append(f"batches[{i}] is not an object")
-                continue
-            for field in _SFM_BATCH_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"batches[{i}] field {field!r} not numeric")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _SFM_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-    return problems
-
-
-def assert_valid_bench_sfm(doc) -> None:
-    problems = validate_bench_sfm(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_sfm document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_sfm(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_sfm, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_sfm(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_backend.json — SfM-lane overload sweep (workers x queue bound)
-# ---------------------------------------------------------------------------
-
-BENCH_BACKEND_SCHEMA = "repro.bench.backend/v1"
-
-#: One row per lane shape. ``workers=0`` encodes the infinite-server
-#: model; ``queue_limit=-1`` encodes an unbounded admission queue.
-_BACKEND_ROW_FIELDS = (
-    "workers",
-    "queue_limit",
-    "sim_time_s",
-    "tasks_completed",
-    "photos_uploaded",
-    "batches_shed",
-    "client_backpressure",
-    "queue_wait_s",
-    "peak_queue_depth",
-    "service_time_s",
-)
-
-_BACKEND_SUMMARY_FIELDS = (
-    "rows",
-    "baseline_tasks_completed",
-    "max_queue_wait_s",
-    "total_shed",
-)
-
-
-def bench_backend_document(
-    rows: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_backend.json`` document (see ``validate_bench_backend``)."""
-    return {
-        "schema": BENCH_BACKEND_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "rows": [dict(row) for row in rows],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_backend(
-    path: PathLike,
-    rows: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_backend_document(rows, summary, campaign)
-    assert_valid_bench_backend(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_backend(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_BACKEND_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_BACKEND_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("rows missing, not a list, or empty")
-    else:
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] is not an object")
-                continue
-            for field in _BACKEND_ROW_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"rows[{i}] field {field!r} not numeric")
-            workers = row.get("workers")
-            if isinstance(workers, int) and workers < 0:
-                problems.append(f"rows[{i}] has negative workers")
-            limit = row.get("queue_limit")
-            if isinstance(limit, int) and limit < -1:
-                problems.append(f"rows[{i}] queue_limit below -1")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _BACKEND_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-    return problems
-
-
-def assert_valid_bench_backend(doc) -> None:
-    problems = validate_bench_backend(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_backend document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_backend(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_backend, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_backend(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_dst.json — parallel campaign-executor speedup (serial vs --jobs N)
-# ---------------------------------------------------------------------------
-
-BENCH_DST_SCHEMA = "repro.bench.dst/v1"
-
-#: One row per executor run (``mode`` is "serial" or "parallel").
-_DST_RUN_FIELDS = (
-    "jobs",
-    "wall_s",
-    "campaigns",
-    "passed",
-    "failed",
-    "checks_run",
-)
-
-_DST_SUMMARY_FIELDS = (
-    "campaigns",
-    "jobs",
-    "cpu_count",
-    "serial_wall_s",
-    "parallel_wall_s",
-    "wall_speedup",
-    "total_busy_s",
-    "critical_path_s",
-    "critical_path_speedup",
-    "target_speedup",
-)
-
-
-def bench_dst_document(
-    runs: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_dst.json`` document (see ``validate_bench_dst``).
-
-    ``summary.wall_speedup`` is the *measured* serial/parallel wall
-    ratio on the generating host; ``summary.critical_path_speedup``
-    (total worker busy seconds / slowest worker lane) is the speedup the
-    sharding achieves independent of how many physical cores that host
-    had — the two coincide on an unloaded machine with >= ``jobs``
-    cores. ``summary.cpu_count`` records which regime the document was
-    generated under; ``summary.byte_identical`` asserts the serial and
-    parallel runs produced identical summaries.
-    """
-    return {
-        "schema": BENCH_DST_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "runs": [dict(row) for row in runs],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_dst(
-    path: PathLike,
-    runs: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_dst_document(runs, summary, campaign)
-    assert_valid_bench_dst(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_dst(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_DST_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_DST_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        problems.append("runs missing, not a list, or empty")
-    else:
-        for i, row in enumerate(runs):
-            if not isinstance(row, dict):
-                problems.append(f"runs[{i}] is not an object")
-                continue
-            if row.get("mode") not in ("serial", "parallel"):
-                problems.append(f"runs[{i}] mode must be 'serial' or 'parallel'")
-            for field in _DST_RUN_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"runs[{i}] field {field!r} not numeric")
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _DST_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-        if not isinstance(summary.get("byte_identical"), bool):
-            problems.append("summary field 'byte_identical' not a bool")
-        speedup = summary.get("wall_speedup")
-        if isinstance(speedup, (int, float)) and speedup <= 0:
-            problems.append("summary wall_speedup must be positive")
-    return problems
-
-
-def assert_valid_bench_dst(doc) -> None:
-    problems = validate_bench_dst(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_dst document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_dst(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_dst, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_dst(doc)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# BENCH_recovery.json — recovery-ladder cost vs fallback depth
-# ---------------------------------------------------------------------------
-
-BENCH_RECOVERY_SCHEMA = "repro.bench.recovery/v1"
-
-#: One row per forced fallback depth (``depth`` = newest generations
-#: damaged before recovery; 0 = the clean happy path).
-_RECOVERY_ROW_FIELDS = (
-    "depth",
-    "snapshot_seq",
-    "generations_tried",
-    "quarantined",
-    "quarantined_bytes",
-    "replayed_records",
-    "wall_s",
-)
-
-_RECOVERY_SUMMARY_FIELDS = (
-    "generations",
-    "wal_records",
-    "newest_replayed_records",
-    "genesis_replayed_records",
-    "newest_wall_s",
-    "genesis_wall_s",
-    "replay_amplification",
-    "wall_amplification",
-)
-
-
-def bench_recovery_document(
-    rows: List[dict], summary: dict, campaign: Optional[dict] = None
-) -> dict:
-    """Build the ``BENCH_recovery.json`` document.
-
-    ``summary.replay_amplification`` is the genesis-rung replay length
-    over the newest-rung replay length — the price (in replayed
-    records) of falling all the way down the ladder;
-    ``summary.wall_amplification`` is the same ratio in wall seconds.
-    ``summary.digest_identical`` asserts every rung recovered the same
-    logical state digest — the ladder trades replay work for nothing
-    else.
-    """
-    return {
-        "schema": BENCH_RECOVERY_SCHEMA,
-        "generated_at": utc_now_iso(),
-        "campaign": dict(campaign or {}),
-        "rows": [dict(row) for row in rows],
-        "summary": dict(summary),
-    }
-
-
-def write_bench_recovery(
-    path: PathLike,
-    rows: List[dict],
-    summary: dict,
-    campaign: Optional[dict] = None,
-) -> pathlib.Path:
-    doc = bench_recovery_document(rows, summary, campaign)
-    assert_valid_bench_recovery(doc)
-    path = pathlib.Path(path)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
-
-
-def validate_bench_recovery(doc) -> List[str]:
-    """Return a list of schema violations (empty == valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["document is not an object"]
-    if doc.get("schema") != BENCH_RECOVERY_SCHEMA:
-        problems.append(
-            f"schema is {doc.get('schema')!r}, expected {BENCH_RECOVERY_SCHEMA!r}"
-        )
-    if not isinstance(doc.get("generated_at"), str):
-        problems.append("generated_at missing or not a string")
-    if not isinstance(doc.get("campaign"), dict):
-        problems.append("campaign missing or not an object")
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or not rows:
-        problems.append("rows missing, not a list, or empty")
-    else:
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict):
-                problems.append(f"rows[{i}] is not an object")
-                continue
-            for field in _RECOVERY_ROW_FIELDS:
-                value = row.get(field)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    problems.append(f"rows[{i}] field {field!r} not numeric")
-            depth = row.get("depth")
-            if isinstance(depth, int) and depth < 0:
-                problems.append(f"rows[{i}] has negative depth")
-            tried = row.get("generations_tried")
-            if isinstance(tried, int) and isinstance(depth, int):
-                if tried != depth + 1:
-                    problems.append(
-                        f"rows[{i}] generations_tried != depth + 1"
-                    )
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("summary missing or not an object")
-    else:
-        for field in _RECOVERY_SUMMARY_FIELDS:
-            value = summary.get(field)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"summary field {field!r} not numeric")
-        if not isinstance(summary.get("digest_identical"), bool):
-            problems.append("summary field 'digest_identical' not a bool")
-        amp = summary.get("replay_amplification")
-        if isinstance(amp, (int, float)) and amp < 1.0:
-            problems.append("summary replay_amplification below 1.0")
-    return problems
-
-
-def assert_valid_bench_recovery(doc) -> None:
-    problems = validate_bench_recovery(doc)
-    if problems:
-        raise ObservabilityError(
-            "invalid BENCH_recovery document: " + "; ".join(problems[:10])
-        )
-
-
-def load_and_validate_recovery(path: PathLike) -> dict:
-    """CI helper: load ``path``, validate as BENCH_recovery, return the document."""
-    doc = json.loads(pathlib.Path(path).read_text())
-    assert_valid_bench_recovery(doc)
+    assert_valid(doc)
     return doc
