@@ -16,6 +16,10 @@ need.
 Finding: task leases + idempotent retransmission keep the campaign
 converging to full venue coverage under 20% message loss; the cost is
 bounded traffic overhead and a longer makespan, never a lost task.
+
+Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): the same sweep; only
+the artefact moves to a temporary directory, so the run never rewrites
+the committed ``ext_fault_tolerance.txt``.
 """
 
 from .conftest import write_result

@@ -14,6 +14,11 @@ figures); the <5% target is what ``benchmarks/results/
 perf_obs_overhead.txt`` tracks over time. The *correctness* half of the
 contract — identical campaign outputs with tracing on or off — is
 pinned exactly in ``tests/test_obs_differential.py``.
+
+Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI): the same campaign,
+``ROUNDS`` and ``HARD_CEILING_PCT``; only the artefacts move to a
+temporary directory, so the run never rewrites the committed
+``BENCH_pipeline.json`` that CI's document validation then reads.
 """
 
 import time

@@ -283,17 +283,16 @@ class BackendConfig:
 
     The paper names SfM compute the system bottleneck (Sec. II-A); this
     section makes the bottleneck explicit instead of modelling it away.
-    ``sfm_workers=None`` keeps the legacy *infinite-server* model — every
-    uploaded batch gets a dedicated simulated worker — and is byte-for-
-    byte identical to the pre-queueing traces. A bounded pool serves
-    batches FIFO from an admission queue (completion = queue wait +
-    deterministic service time, an M/D/c-style lane), and a bounded
-    ``queue_limit`` turns the lane into an admission controller: batches
-    arriving past the bound are *shed* with a ``retry_after_s`` hint
-    instead of queued.
+    The pool serves batches FIFO from an admission queue (completion =
+    queue wait + deterministic service time, an M/D/c-style lane).
+    ``sfm_workers=None`` is an unbounded pool — every uploaded batch
+    finds an idle worker, so nothing ever waits. A bounded ``queue_limit``
+    turns a bounded lane into an admission controller: batches arriving
+    past the bound are *shed* with a ``retry_after_s`` hint instead of
+    queued.
     """
 
-    #: Parallel SfM workers; ``None`` = infinite (legacy model).
+    #: Parallel SfM workers; ``None`` = unbounded pool.
     sfm_workers: Optional[int] = None
     #: Max batches waiting for a worker; ``None`` = unbounded queue.
     #: ``0`` sheds whenever every worker is busy. Requires a bounded pool.
@@ -329,10 +328,6 @@ class ProtocolConfig:
     """
 
     lease_duration_s: float = 600.0
-    #: Cadence for explicit :meth:`BackendServer.reap_expired` sweeps;
-    #: the event-driven reaper fires exactly at each lease expiry, so this
-    #: only paces external/manual sweeps.
-    reaper_interval_s: float = 60.0
     rto_initial_s: float = 4.0
     rto_backoff: float = 2.0
     rto_max_s: float = 60.0
@@ -370,8 +365,6 @@ class ProtocolConfig:
     def validate(self) -> None:
         if self.lease_duration_s <= 0:
             raise ConfigError("lease_duration_s must be positive")
-        if self.reaper_interval_s <= 0:
-            raise ConfigError("reaper_interval_s must be positive")
         if self.rto_initial_s <= 0 or self.rto_max_s < self.rto_initial_s:
             raise ConfigError("need 0 < rto_initial_s <= rto_max_s")
         if self.rto_backoff < 1.0:
@@ -512,7 +505,7 @@ class SnapTaskConfig:
 
     @property
     def sfm_workers(self) -> Optional[int]:
-        """The backend's SfM worker count (``None`` = infinite-server)."""
+        """The backend's SfM worker count (``None`` = unbounded pool)."""
         return self.backend.sfm_workers
 
     @property

@@ -64,7 +64,7 @@ class Workbench:
     ) -> "Workbench":
         """A fresh workbench on the same venue with a different SfM lane.
 
-        ``sfm_workers=None`` is the infinite-server model; a bounded pool
+        ``sfm_workers=None`` is an unbounded pool; a bounded pool
         (optionally with a bounded admission queue) makes the backend's
         processing capacity explicit. Everything else — venue, seeds,
         ground truth — is rebuilt identically, so sweeps over the lane

@@ -13,7 +13,7 @@ re-binds after recovery.
 from __future__ import annotations
 
 import pickle
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .records import (
     AdmitRecord,
@@ -55,7 +55,7 @@ class PersistenceLog:
             )
         )
 
-    def log_admit(self, batch, seq: Optional[int], arrived_at: float) -> None:
+    def log_admit(self, batch, seq: int, arrived_at: float) -> None:
         self._wal.append(
             AdmitRecord(
                 t=arrived_at,
@@ -76,13 +76,9 @@ class PersistenceLog:
         )
 
     def log_batch(
-        self,
-        batch,
-        arrived_at: float,
-        done_t: float,
-        lane: Optional[Tuple[int, float, float]] = None,
+        self, batch, arrived_at: float, done_t: float, lane: Tuple[int, float, float]
     ) -> None:
-        seq, wait_s, service_s = lane if lane is not None else (None, None, None)
+        seq, wait_s, service_s = lane
         self._wal.append(
             BatchRecord(
                 arrived_t=arrived_at,

@@ -61,7 +61,7 @@ class AdmitRecord:
     t: float
     batch_id: Optional[str]
     task_id: Optional[int]
-    seq: Optional[int]
+    seq: int
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ class BatchRecord:
     """A photo batch *committed* (``_process`` ran to completion).
 
     ``photos_blob`` is the pickled photo tuple; ``seq``/``wait_s``/
-    ``service_s`` reproduce the bounded-lane accounting for the batch
-    (``None`` under the infinite-server model).
+    ``service_s`` reproduce the SfM lane's accounting for the batch.
     """
 
     arrived_t: float
@@ -79,9 +78,9 @@ class BatchRecord:
     task_id: Optional[int]
     batch_id: Optional[str]
     photos_blob: bytes
-    seq: Optional[int]
-    wait_s: Optional[float]
-    service_s: Optional[float]
+    seq: int
+    wait_s: float
+    service_s: float
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ Fault tolerance (this layer's contract with unreliable clients):
   requeues expired tasks, so a participant who wanders off mid-task
   (Sec. III runs on real volunteers) costs latency, never coverage. In a
   discrete-event simulation the periodic reaper degenerates to one exact
-  event per lease expiry, cancelled early when the upload lands;
-  :meth:`reap_expired` additionally offers the classic sweep form.
+  event per lease expiry, cancelled early when the upload lands.
 * **Idempotent exchanges** — task requests and photo batches carry ids;
   duplicated or retransmitted messages are answered from dedup ledgers
   instead of double-assigning tasks or double-processing batches.
@@ -21,12 +20,11 @@ Fault tolerance (this layer's contract with unreliable clients):
   failure :class:`ProcessingResult`; only successful batches complete
   their task, failed attempts release the lease (feeding the paper's
   TT-attempt annotation escalation, Sec. IV).
-* **Bounded SfM lane** — processing capacity is explicit: a
-  :class:`~repro.config.BackendConfig` worker pool serves batches FIFO
-  from an admission queue (completion = queue wait + deterministic
-  service time). A bounded queue sheds overflow with a ``retry_after_s``
-  hint instead of queueing without limit; ``sfm_workers=None`` keeps the
-  legacy infinite-server model byte-for-byte.
+* **One SfM lane** — a :class:`~repro.config.BackendConfig` worker pool
+  serves batches FIFO from an admission queue (completion = queue wait +
+  deterministic service time); ``sfm_workers=None`` is a pool that
+  always has an idle worker. A bounded queue sheds overflow with a
+  ``retry_after_s`` hint instead of queueing without limit.
 * **Bounded ledgers** — dedup entries are evicted a retention window
   after their owning task turns terminal; evicted batch outcomes are
   archived in the store so late duplicates still re-ACK safely (the
@@ -137,7 +135,7 @@ class BackendServer:
         #: defers to the in-flight upload deterministically.
         self._inflight_batches: Dict[int, int] = {}
         # -- SfM processing lane (bounded worker pool + admission queue) --
-        #: Parallel workers; ``None`` keeps the infinite-server model.
+        #: Parallel workers; ``None`` is a pool that is never full.
         self._workers = self._backend.sfm_workers
         self._queue_limit = self._backend.queue_limit
         #: Admitted batches waiting for a worker, FIFO.
@@ -309,33 +307,30 @@ class BackendServer:
                 self._inflight_batches[record.task_id] = (
                     self._inflight_batches.get(record.task_id, 0) + 1
                 )
-            if record.seq is not None and record.seq > self._admit_watermark:
-                self._admit_watermark = record.seq
+            self._admit_watermark = max(self._admit_watermark, record.seq)
         elif isinstance(record, BatchRecord):
             self._replay_now = record.done_t
             photos = pickle.loads(record.photos_blob)
-            if record.seq is not None:
-                # The bounded lane's service accounting happened at
-                # service start; re-apply it from the record before the
-                # commit itself — unless the snapshot already captured
-                # it (service started before the checkpoint, commit
-                # landed after), in which case re-applying would
-                # duplicate the seq in the start-order audit log and
-                # double-count the wait/service totals. Seqs strictly
-                # increase with service-start order while commits can
-                # land out of start order with >1 worker, so a sorted
-                # insert reconstructs the true start order.
-                pos = bisect.bisect_left(self._service_order, record.seq)
-                already_started = (
-                    pos < len(self._service_order)
-                    and self._service_order[pos] == record.seq
-                )
-                if not already_started:
-                    self._service_order.insert(pos, record.seq)
-                    self._queue_wait_total += record.wait_s
-                    self._h_queue_wait.record(record.wait_s)
-                    self._service_time_total += record.service_s
-                    self._h_service.record(record.service_s)
+            # The lane's service accounting happened at service start;
+            # re-apply it from the record before the commit itself —
+            # unless the snapshot already captured it (service started
+            # before the checkpoint, commit landed after), in which case
+            # re-applying would duplicate the seq in the start-order
+            # audit log and double-count the wait/service totals. Seqs
+            # strictly increase with service-start order while commits
+            # can land out of start order with >1 worker, so a sorted
+            # insert reconstructs the true start order.
+            pos = bisect.bisect_left(self._service_order, record.seq)
+            already_started = (
+                pos < len(self._service_order)
+                and self._service_order[pos] == record.seq
+            )
+            if not already_started:
+                self._service_order.insert(pos, record.seq)
+                self._queue_wait_total += record.wait_s
+                self._h_queue_wait.record(record.wait_s)
+                self._service_time_total += record.service_s
+                self._h_service.record(record.service_s)
             self._process(
                 PhotoBatch(
                     client_id=record.client_id,
@@ -344,7 +339,8 @@ class BackendServer:
                     batch_id=record.batch_id,
                 ),
                 None,
-                arrived_at=record.arrived_t,
+                record.arrived_t,
+                (record.seq, record.wait_s, record.service_s),
             )
         elif isinstance(record, EmptyBatchRecord):
             self._replay_now = record.t
@@ -444,7 +440,7 @@ class BackendServer:
 
     @property
     def sfm_worker_limit(self) -> Optional[int]:
-        """Configured worker count (``None`` = infinite-server model)."""
+        """Configured worker count (``None`` = unbounded pool)."""
         return self._workers
 
     @property
@@ -470,7 +466,7 @@ class BackendServer:
 
     @property
     def sfm_service_time_total_s(self) -> float:
-        """Total service time delivered by the bounded pool."""
+        """Total service time delivered by the worker pool."""
         return self._service_time_total
 
     def sfm_service_order(self) -> List[int]:
@@ -594,11 +590,11 @@ class BackendServer:
         ledger (or, after ledger eviction, from the store archive) — the
         pipeline never processes the same batch twice.
 
-        With a bounded :class:`~repro.config.BackendConfig` pool the
-        batch is admitted to the FIFO processing lane; when every worker
-        is busy and the admission queue is at its bound, the batch is
-        *shed* with a backpressure reply instead (``retry_after_s`` set,
-        nothing ledgered — the client retransmits later).
+        The batch is admitted to the FIFO processing lane; when every
+        worker of a bounded :class:`~repro.config.BackendConfig` pool is
+        busy and the admission queue is at its bound, the batch is *shed*
+        with a backpressure reply instead (``retry_after_s`` set, nothing
+        ledgered — the client retransmits later).
         """
         if self._fenced:
             raise BackendUnavailableError("backend crashed; upload lost")
@@ -698,26 +694,16 @@ class BackendServer:
 
     # -- SfM processing lane -----------------------------------------------------------
 
-    def _admit(self, batch: PhotoBatch, on_done, arrived_at: float) -> Optional[int]:
-        """Hand an accepted batch to the processing lane.
+    def _idle_worker(self) -> bool:
+        """Whether a worker is free (``sfm_workers=None`` always has one)."""
+        return self._workers is None or len(self._busy_until) < self._workers
 
-        Returns the admission seq under a bounded pool (``None`` under
-        the infinite-server model) — the WAL records it.
-        """
-        if self._workers is None:
-            # Legacy infinite-server model: every batch gets a dedicated
-            # simulated worker (byte-for-byte the pre-queueing trace).
-            delay = PROCESSING_S_PER_PHOTO * len(batch.photos)
-            self._sim.schedule(
-                delay,
-                lambda: self._process(batch, on_done, arrived_at),
-                label=f"process-batch:{batch.client_id}",
-            )
-            return None
+    def _admit(self, batch: PhotoBatch, on_done, arrived_at: float) -> int:
+        """Hand an accepted batch to the lane; returns its admission seq."""
         self._admit_watermark += 1
         seq = self._admit_watermark
         entry = (seq, batch, on_done, arrived_at)
-        if len(self._busy_until) < self._workers:
+        if self._idle_worker():
             self._start_service(entry)
         else:
             self._sfm_queue.append(entry)
@@ -755,7 +741,7 @@ class BackendServer:
         )
 
     def _finish_service(
-        self, entry: tuple, end: float, wait: float = 0.0, service_s: float = 0.0
+        self, entry: tuple, end: float, wait: float, service_s: float
     ) -> None:
         if self._fenced:
             return  # stale completion from before a crash
@@ -763,16 +749,14 @@ class BackendServer:
         self._busy_until.remove(end)
         self._g_sfm_busy.set(len(self._busy_until))
         self._process(batch, on_done, arrived_at, lane=(seq, wait, service_s))
-        if self._sfm_queue and len(self._busy_until) < self._workers:
+        if self._sfm_queue and self._idle_worker():
             head = self._sfm_queue.popleft()
             self._g_sfm_queue.set(len(self._sfm_queue))
             self._start_service(head)
 
     def _overloaded(self) -> bool:
         """Admission control: full pool *and* full queue means shed."""
-        if self._workers is None or self._queue_limit is None:
-            return False
-        if len(self._busy_until) < self._workers:
+        if self._queue_limit is None or self._idle_worker():
             return False
         return len(self._sfm_queue) >= self._queue_limit
 
@@ -783,9 +767,7 @@ class BackendServer:
 
     def _poll_hint(self) -> Optional[float]:
         """Re-poll hint for empty assignments while the lane is saturated."""
-        if self._workers is None or len(self._busy_until) < self._workers:
-            return None
-        return self._retry_after()
+        return None if self._idle_worker() else self._retry_after()
 
     def _shed(self, batch: PhotoBatch, on_done) -> None:
         """Refuse an upload under overload with a backpressure reply.
@@ -890,19 +872,6 @@ class BackendServer:
 
     # -- lease reaper ------------------------------------------------------------------
 
-    def reap_expired(self) -> int:
-        """Sweep all leases and requeue the expired ones; returns the count.
-
-        The event-driven reaper normally does this one lease at a time at
-        the exact expiry instant; this sweep exists for external drivers
-        (and tests) that want the classic periodic form.
-        """
-        reaped = 0
-        for lease in self._store.expired_leases(self._sim.now):
-            if self._reap_lease(lease.task_id):
-                reaped += 1
-        return reaped
-
     def _schedule_lease_reap(self, task_id: int, expires_at: float) -> None:
         if self._replay_now is not None:
             # Replayed grants must not schedule on the live (post-restart)
@@ -977,12 +946,11 @@ class BackendServer:
         self,
         batch: PhotoBatch,
         on_done: Optional[Callable[[ProcessingResult], None]],
-        arrived_at: Optional[float] = None,
-        lane: Optional[Tuple[int, float, float]] = None,
+        arrived_at: float,
+        lane: Tuple[int, float, float],
     ) -> None:
         if self._fenced:
             return  # stale completion from before a crash
-        t0 = arrived_at if arrived_at is not None else self._now()
         if batch.task_id is not None:
             live = self._inflight_batches.get(batch.task_id, 0) - 1
             if live > 0:
@@ -998,7 +966,7 @@ class BackendServer:
                 photos=len(batch.photos),
                 batch_id=batch.batch_id,
             )
-            span.start_sim_s = t0  # covers queueing + simulated SfM time
+            span.start_sim_s = arrived_at  # covers queueing + simulated SfM time
         task = self._store.maybe_task(batch.task_id) if batch.task_id is not None else None
         photos = list(batch.photos)
         if (
@@ -1057,8 +1025,8 @@ class BackendServer:
             # before the ACK leaves. A crash before this line loses the
             # batch entirely (client retransmits); a crash after it loses
             # nothing.
-            self._persist.log_batch(batch, arrived_at=t0, done_t=self._now(), lane=lane)
-        self._h_process.record(self._now() - t0)
+            self._persist.log_batch(batch, arrived_at, self._now(), lane)
+        self._h_process.record(self._now() - arrived_at)
         if span is not None:
             span.end(
                 photos_added=outcome.photos_added,

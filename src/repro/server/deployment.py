@@ -68,7 +68,7 @@ class DeploymentReport:
     tasks_failed: int = 0
     leases_expired: int = 0
     dropouts: int = 0
-    # -- SfM-lane accounting (all zero under the infinite-server model) --
+    # -- SfM-lane accounting (waits and sheds stay zero on an unbounded pool) --
     batches_shed: int = 0
     client_backpressure: int = 0
     sfm_queue_wait_s: float = 0.0

@@ -293,17 +293,15 @@ class InvariantRegistry:
     def _check_admission_bound(self, token) -> None:
         """The SfM lane respects its declared bounds and serves FIFO.
 
-        With a bounded pool configured: never more busy workers than the
-        pool size, never a deeper admission queue than the bound (excess
-        must be shed, not queued), no idle worker while batches wait
-        (work conservation), and service starts in admission order.
+        Never more busy workers than the pool size, never a deeper
+        admission queue than the bound (excess must be shed, not queued),
+        no idle worker while batches wait (work conservation; an unbounded
+        pool never queues at all), and service starts in admission order.
         """
         server = self._server
         limit = server.sfm_worker_limit
-        if limit is None:
-            return
         busy = server.sfm_busy_workers
-        if busy > limit:
+        if limit is not None and busy > limit:
             self._fail(
                 token,
                 "admission-bound",
@@ -318,7 +316,7 @@ class InvariantRegistry:
                 f"admission queue depth {depth} exceeds bound {queue_limit} "
                 f"(overflow must be shed, not queued)",
             )
-        if depth > 0 and busy < limit:
+        if depth > 0 and (limit is None or busy < limit):
             self._fail(
                 token,
                 "admission-bound",

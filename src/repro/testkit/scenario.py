@@ -70,7 +70,7 @@ class Scenario:
     rto_initial_s: float = 4.0
     upload_subbatch: int = 45
     poll_jitter_s: float = 0.0
-    # -- backend SfM lane (None/None = legacy infinite-server model) --
+    # -- backend SfM lane (None/None = unbounded pool, the default) --
     sfm_workers: Optional[int] = None
     sfm_queue_limit: Optional[int] = None
     #: Parallel photo tasks the backend may issue per processed batch;

@@ -156,7 +156,7 @@ def _candidates(s: Scenario) -> List[Tuple[str, Scenario]]:
         out.append(("upload_subbatch=45", replace(s, upload_subbatch=45)))
     if s.poll_jitter_s:
         out.append(("poll_jitter_s=0", replace(s, poll_jitter_s=0.0)))
-    # -- backend lane back to the infinite-server default --
+    # -- backend lane back to the unbounded-pool default --
     if s.sfm_workers is not None:
         out.append(
             ("sfm_workers=None", replace(s, sfm_workers=None, sfm_queue_limit=None))

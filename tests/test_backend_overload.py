@@ -145,11 +145,16 @@ class TestWorkerPool:
             server.handle_photo_batch(
                 PhotoBatch("c0", None, sweep_at(bench, *pos), batch_id=f"c0:b{i}")
             )
-        assert server.sfm_busy_workers == 0  # lane bookkeeping untouched
+        assert server.sfm_busy_workers == 3  # every batch finds a worker
         assert server.sfm_queue_depth == 0
         sim.run()
+        assert server.sfm_busy_workers == 0
+        assert server.sfm_service_order() == [1, 2, 3]
         assert server.sfm_queue_wait_total_s == 0.0
         assert server.sfm_peak_queue_depth == 0
+        assert server.sfm_service_time_total_s == pytest.approx(
+            3 * PROCESSING_S_PER_PHOTO * 45
+        )
         assert sim.now == pytest.approx(PROCESSING_S_PER_PHOTO * 45)
 
 

@@ -91,24 +91,26 @@ class TestCrashRecovery:
             assert rec.dropped_remnants == 0  # clean in-memory media
 
     def test_admit_seq_watermark_survives_recovery(self):
-        """Bounded-lane admission seqs stay strictly increasing across a
-        restart — the recovered watermark resumes above every seq issued."""
-        scenario = replace(
-            BASE,
-            n_clients=2,
-            persist=True,
-            sfm_workers=1,
-            backend_crashes=((900.0, 45.0),),
-        )
-        deployment, report = _run(scenario)
-        assert report.backend_recoveries == 1
-        seqs = [
-            r.seq
-            for r in deployment.host.wal.records()
-            if isinstance(r, AdmitRecord) and r.seq is not None
-        ]
-        assert seqs, "bounded lane issued no admission seqs"
-        assert seqs == sorted(set(seqs))
+        """Admission seqs stay strictly increasing across a restart, on a
+        bounded lane and on the default unbounded pool alike — the
+        recovered watermark resumes above every seq issued."""
+        for sfm_workers in (1, None):
+            scenario = replace(
+                BASE,
+                n_clients=2,
+                persist=True,
+                sfm_workers=sfm_workers,
+                backend_crashes=((900.0, 45.0),),
+            )
+            deployment, report = _run(scenario)
+            assert report.backend_recoveries == 1
+            seqs = [
+                r.seq
+                for r in deployment.host.wal.records()
+                if isinstance(r, AdmitRecord) and r.seq is not None
+            ]
+            assert seqs, f"sfm_workers={sfm_workers} issued no admission seqs"
+            assert seqs == sorted(set(seqs))
 
 
 class TestReplayServiceAccounting:
